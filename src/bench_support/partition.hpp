@@ -2,7 +2,7 @@
 // MPI setup): when edges are ordered by ascending timestamp, k consecutive
 // edges go to k different processors (timestamp round-robin). We implement
 // the partitioning logic and its balance diagnostics without the network
-// transport (see DESIGN.md section 5, substitution 4).
+// transport: each rank's load is the sum of measured per-start costs.
 #pragma once
 
 #include <cstdint>

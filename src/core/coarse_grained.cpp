@@ -44,7 +44,7 @@ EnumResult coarse_johnson_simple_cycles(const Digraph& graph, Scheduler& sched,
   }
   SharedResult shared;
   ScratchPool<JohnsonScratch> pool(
-      [n] { return std::make_unique<JohnsonScratch>(n); });
+      sched, [n] { return std::make_unique<JohnsonScratch>(n); });
   parallel_for_each_index(sched, 0, n, [&](std::size_t s) {
     auto scratch = pool.acquire();
     const auto start = static_cast<VertexId>(s);
@@ -70,7 +70,7 @@ EnumResult coarse_johnson_windowed_cycles(const TemporalGraph& graph,
   }
   SharedResult shared;
   ScratchPool<JohnsonScratch> pool(
-      [n] { return std::make_unique<JohnsonScratch>(n); });
+      sched, [n] { return std::make_unique<JohnsonScratch>(n); });
   const auto edges = graph.edges_by_time();
   parallel_for_each_index(sched, 0, edges.size(), [&](std::size_t i) {
     const TemporalEdge& e0 = edges[i];
@@ -135,7 +135,8 @@ EnumResult coarse_read_tarjan_simple_cycles(const Digraph& graph,
     return {};
   }
   SharedResult shared;
-  ScratchPool<RTScratch> pool([n] { return std::make_unique<RTScratch>(n); });
+  ScratchPool<RTScratch> pool(
+      sched, [n] { return std::make_unique<RTScratch>(n); });
   parallel_for_each_index(sched, 0, n, [&](std::size_t s) {
     auto scratch = pool.acquire();
     const auto start = static_cast<VertexId>(s);
@@ -174,7 +175,8 @@ EnumResult coarse_read_tarjan_windowed_cycles(const TemporalGraph& graph,
     return {};
   }
   SharedResult shared;
-  ScratchPool<RTScratch> pool([n] { return std::make_unique<RTScratch>(n); });
+  ScratchPool<RTScratch> pool(
+      sched, [n] { return std::make_unique<RTScratch>(n); });
   const auto edges = graph.edges_by_time();
   parallel_for_each_index(sched, 0, edges.size(), [&](std::size_t i) {
     const TemporalEdge& e0 = edges[i];

@@ -31,10 +31,10 @@ struct FineHcRun {
         options(options_),
         popts(popts_),
         sink(sink_),
-        state_pool([n = graph_.num_vertices()] {
+        state_pool(sched_, [n = graph_.num_vertices()] {
           return std::make_unique<HcState>(n);
         }),
-        dist_pool([n = graph_.num_vertices()] {
+        dist_pool(sched_, [n = graph_.num_vertices()] {
           auto scratch = std::make_unique<HcDistScratch>();
           scratch->init(n);
           return scratch;

@@ -35,10 +35,10 @@ struct FineJohnsonRun {
         popts(popts_),
         sink(sink_),
         bounded(options_.max_cycle_length > 0),
-        state_pool([n = graph_.num_vertices()] {
+        state_pool(sched_, [n = graph_.num_vertices()] {
           return std::make_unique<JohnsonState>(n);
         }),
-        union_pool([n = graph_.num_vertices()] {
+        union_pool(sched_, [n = graph_.num_vertices()] {
           auto scratch = std::make_unique<CycleUnionScratch>();
           scratch->init(n);
           return scratch;

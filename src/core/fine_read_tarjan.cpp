@@ -24,10 +24,10 @@ struct FineRTRun {
         options(options_),
         popts(popts_),
         sink(sink_),
-        state_pool([n = graph_.num_vertices()] {
+        state_pool(sched_, [n = graph_.num_vertices()] {
           return std::make_unique<ReadTarjanState>(n);
         }),
-        union_pool([n = graph_.num_vertices()] {
+        union_pool(sched_, [n = graph_.num_vertices()] {
           auto scratch = std::make_unique<CycleUnionScratch>();
           scratch->init(n);
           return scratch;

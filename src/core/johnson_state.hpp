@@ -23,6 +23,7 @@
 
 #include "graph/types.hpp"
 #include "support/dynamic_bitset.hpp"
+#include "support/scheduler.hpp"
 #include "support/spinlock.hpp"
 #include "support/stats.hpp"
 
@@ -220,20 +221,37 @@ class JohnsonState {
   Spinlock lock_;
 };
 
-// Thread-safe pool of reusable per-search scratch objects. Checked out for
-// the lifetime of one root search; contention is one lock per search.
+// Thread-safe pool of reusable per-search scratch objects, one checked out
+// per root search or stolen task. Each worker of the bound scheduler owns a
+// cache-line-padded free list that only it touches, so acquire and release
+// take no lock and share no line; threads that are not its workers share one
+// locked list. An object goes back on the list of the thread that acquired
+// it, which holds as long as acquire and release sit in one task body (a
+// task never migrates). One object per worker would not do: a root search
+// blocked in group.wait() can run another root search on the same worker.
 template <typename T>
 class ScratchPool {
  public:
   template <typename MakeFn>
-  explicit ScratchPool(MakeFn&& make) : make_(std::forward<MakeFn>(make)) {}
+  ScratchPool(const Scheduler& sched, MakeFn&& make)
+      : make_(std::forward<MakeFn>(make)),
+        sched_(&sched),
+        local_(sched.num_workers()) {}
 
   std::unique_ptr<T> acquire() {
+    if (FreeList* list = local_list()) {
+      if (!list->items.empty()) {
+        std::unique_ptr<T> item = std::move(list->items.back());
+        list->items.pop_back();
+        return item;
+      }
+      return make_();
+    }
     {
-      LockGuard<Spinlock> guard(lock_);
-      if (!free_.empty()) {
-        std::unique_ptr<T> item = std::move(free_.back());
-        free_.pop_back();
+      LockGuard<Spinlock> guard(shared_lock_);
+      if (!shared_.empty()) {
+        std::unique_ptr<T> item = std::move(shared_.back());
+        shared_.pop_back();
         return item;
       }
     }
@@ -241,14 +259,32 @@ class ScratchPool {
   }
 
   void release(std::unique_ptr<T> item) {
-    LockGuard<Spinlock> guard(lock_);
-    free_.push_back(std::move(item));
+    if (FreeList* list = local_list()) {
+      list->items.push_back(std::move(item));
+      return;
+    }
+    LockGuard<Spinlock> guard(shared_lock_);
+    shared_.push_back(std::move(item));
   }
 
  private:
+  struct alignas(64) FreeList {
+    std::vector<std::unique_ptr<T>> items;
+  };
+
+  // The calling worker's own list, or nullptr off the bound scheduler.
+  FreeList* local_list() noexcept {
+    if (Scheduler::current() != sched_) {
+      return nullptr;
+    }
+    return &local_[static_cast<std::size_t>(Scheduler::current_worker_id())];
+  }
+
   std::function<std::unique_ptr<T>()> make_;
-  Spinlock lock_;
-  std::vector<std::unique_ptr<T>> free_;
+  const Scheduler* sched_;
+  std::vector<FreeList> local_;
+  Spinlock shared_lock_;
+  std::vector<std::unique_ptr<T>> shared_;
 };
 
 }  // namespace parcycle

@@ -10,7 +10,7 @@ namespace parcycle {
 struct EnumOptions {
   // Maximum number of edges in a reported cycle; 0 means unbounded. The
   // bounded mode implements the "cycle-length constraints" capability of
-  // Table 2 via budget-aware blocking (see DESIGN.md section 7).
+  // Table 2 via budget-aware blocking (see core/johnson_state.hpp).
   int max_cycle_length = 0;
 
   // Windowed/temporal modes only: prune each starting edge by intersecting

@@ -2,7 +2,7 @@
 // driver (read_tarjan.cpp), the coarse-grained parallel driver
 // (coarse_grained.cpp) and the fine-grained driver (fine_read_tarjan.cpp).
 //
-// Formulation (see DESIGN.md and Section 3.4/6 of the paper): a recursive
+// Formulation (Sections 3.4 and 6 of the paper): a recursive
 // call owns a current path Pi and a path extension E (a known way to close Pi
 // into a cycle). The call reports Pi + E, then walks along E; before each hop
 // it searches for an alternate extension that deviates from E at the current

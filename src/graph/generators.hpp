@@ -8,7 +8,7 @@
 //     that separate Tiernan / Johnson / Read-Tarjan behaviour.
 //  3. Random graphs: Erdos-Renyi digraphs, and a scale-free temporal
 //     multigraph generator that substitutes for the SNAP/Konect datasets the
-//     paper uses (see DESIGN.md section 5).
+//     paper uses (the registry analogs in bench_support/datasets.hpp).
 #pragma once
 
 #include <cstdint>

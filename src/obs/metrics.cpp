@@ -194,6 +194,9 @@ void MetricsRegistry::import_work(const std::string& prefix,
               "Same-thread in-place state reuses");
   set_counter(prefix + "_unblock_operations_total", labels,
               work.unblock_operations, "Johnson-style unblock operations");
+  set_counter(prefix + "_prune_edges_scanned_total", labels,
+              work.prune_edges_scanned,
+              "Edges scanned by the temporal cycle-union prune");
   set_counter(prefix + "_late_edges_rejected_total", labels,
               work.late_edges_rejected,
               "Arrivals dropped behind the reorder watermark");

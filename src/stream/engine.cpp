@@ -64,7 +64,7 @@ StreamEngine::StreamEngine(const StreamOptions& options, Scheduler& sched,
                   ? std::vector<Timestamp>{options.window}
                   : options.windows),
       graph_(options.num_vertices_hint),
-      scratch_pool_([] { return std::make_unique<StreamSearchScratch>(); }),
+      scratch_pool_(sched, [] { return std::make_unique<StreamSearchScratch>(); }),
       reorder_max_seen_(std::numeric_limits<Timestamp>::min()),
       reorder_floor_(std::numeric_limits<Timestamp>::min()),
       last_pushed_ts_(std::numeric_limits<Timestamp>::min()) {

@@ -43,6 +43,9 @@ struct WorkCounters {
   std::uint64_t state_copies = 0;     // copy-on-steal full copies
   std::uint64_t state_reuses = 0;     // same-thread in-place reuses
   std::uint64_t unblock_operations = 0;
+  // Preprocessing work the DFS count above leaves out: edges the temporal
+  // cycle-union prune scanned (reach probe plus slice passes).
+  std::uint64_t prune_edges_scanned = 0;
   // Streaming ingest pressure (zero for the batch algorithms): arrivals the
   // reorder stage dropped because they lagged the slack watermark, and
   // sliding-graph compaction events (dead-prefix erasures in the per-vertex
@@ -66,6 +69,7 @@ struct WorkCounters {
     state_copies += other.state_copies;
     state_reuses += other.state_reuses;
     unblock_operations += other.unblock_operations;
+    prune_edges_scanned += other.prune_edges_scanned;
     late_edges_rejected += other.late_edges_rejected;
     graph_compactions += other.graph_compactions;
     searches_truncated += other.searches_truncated;

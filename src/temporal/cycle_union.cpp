@@ -31,6 +31,14 @@ void TemporalReachScratch::init(VertexId n) {
   epoch_ = 0;
 }
 
+void TemporalReachScratch::next_epoch() {
+  epoch_ += 1;
+  if (epoch_ == 0) {  // wrapped: stale stamps could alias the new epoch
+    std::fill(stamp_.begin(), stamp_.end(), 0);
+    epoch_ = 1;
+  }
+}
+
 void TemporalReachScratch::touch(VertexId v) {
   if (stamp_[v] != epoch_) {
     stamp_[v] = epoch_;
@@ -40,14 +48,68 @@ void TemporalReachScratch::touch(VertexId v) {
   }
 }
 
+bool TemporalReachScratch::probe(const TemporalGraph& graph,
+                                 const TemporalEdge& e0, Timestamp hi,
+                                 std::size_t budget) {
+  const VertexId head = e0.dst;
+  const VertexId tail = e0.src;
+  if (head == tail) {
+    last_probe_ = ProbeOutcome::kTailHit;
+    return true;
+  }
+  next_epoch();
+  // Label-correcting search: earliest_arrival_ holds the best arrival found
+  // so far, fwd_seen_ marks queued vertices. A vertex whose arrival improves
+  // is queued again and rescans its (now longer) window suffix.
+  touch(head);
+  earliest_arrival_[head] = e0.ts;
+  fwd_seen_[head] = 1;
+  queue_.clear();
+  queue_.push_back(head);
+  std::size_t scanned = 0;
+  for (std::size_t next = 0; next < queue_.size(); ++next) {
+    const VertexId v = queue_[next];
+    fwd_seen_[v] = 0;
+    for (const auto& e :
+         graph.out_edges_in_window(v, earliest_arrival_[v] + 1, hi)) {
+      if (scanned == budget) {
+        edges_scanned_ += scanned;
+        last_probe_ = ProbeOutcome::kBudgetOut;
+        return true;
+      }
+      scanned += 1;
+      if (e.dst == tail) {
+        edges_scanned_ += scanned;
+        last_probe_ = ProbeOutcome::kTailHit;
+        return true;
+      }
+      touch(e.dst);
+      if (e.ts < earliest_arrival_[e.dst]) {
+        earliest_arrival_[e.dst] = e.ts;
+        if (!fwd_seen_[e.dst]) {
+          fwd_seen_[e.dst] = 1;
+          queue_.push_back(e.dst);
+        }
+      }
+    }
+  }
+  edges_scanned_ += scanned;
+  last_probe_ = ProbeOutcome::kExhausted;
+  return false;
+}
+
 bool TemporalReachScratch::compute(const TemporalGraph& graph,
                                    const TemporalEdge& e0, Timestamp hi) {
-  epoch_ += 1;
   const auto edges = graph.edges_by_time();
   // The searchable slice: strictly after t0 (time-increasing cycles), within
   // the window.
   const std::size_t begin = lower_bound_index(edges, e0.ts + 1);
   const std::size_t end = lower_bound_index(edges, hi + 1);
+  if (!probe(graph, e0, hi, (end - begin) >> kProbeBudgetShift)) {
+    return false;  // the head's closure misses the tail: no cycle
+  }
+  next_epoch();
+  edges_scanned_ += end - begin;
 
   const VertexId head = e0.dst;
   const VertexId tail = e0.src;
@@ -75,6 +137,7 @@ bool TemporalReachScratch::compute(const TemporalGraph& graph,
 
   // Backward pass (descending time): latest departure that still reaches the
   // tail. An edge u -> tail is itself a valid departure at its timestamp.
+  edges_scanned_ += end - begin;
   latest_departure_[tail] = kNever;  // closing the cycle needs no further hop
   for (std::size_t i = end; i-- > begin;) {
     const TemporalEdge& e = edges[i];

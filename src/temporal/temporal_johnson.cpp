@@ -22,29 +22,29 @@ namespace detail {
 // Shared helpers
 // ---------------------------------------------------------------------------
 
-bool TemporalJohnsonSearch::prepare_root(const TemporalGraph& graph,
-                                         const TemporalEdge& e0,
-                                         Timestamp window, bool use_cycle_union,
-                                         TemporalReachScratch* reach,
-                                         ClosingTimeState& state,
-                                         Timestamp& hi_out) {
-  const Timestamp hi = e0.ts + window;
-  hi_out = hi;
+bool TemporalJohnsonSearch::root_passes(const TemporalGraph& graph,
+                                        const TemporalEdge& e0, Timestamp hi,
+                                        TemporalReachScratch* reach,
+                                        WorkCounters& counters) {
   // The head must have a strictly-later out-edge and the tail a later
   // in-edge, or no temporal cycle through e0 exists.
   if (graph.out_edges_in_window(e0.dst, e0.ts + 1, hi).empty() ||
       graph.in_edges_in_window(e0.src, e0.ts + 1, hi).empty()) {
     return false;
   }
-  if (use_cycle_union && reach != nullptr &&
-      !reach->compute(graph, e0, hi)) {
-    return false;
+  if (reach == nullptr) {
+    return true;
   }
-  state.reset();
+  const bool passed = reach->compute(graph, e0, hi);
+  counters.prune_edges_scanned += reach->take_edges_scanned();
+  return passed;
+}
+
+void TemporalJohnsonSearch::push_root(ClosingTimeState& state,
+                                      const TemporalEdge& e0) {
   state.push(e0.src);  // tail; empty bundle, only pins the vertex
   ClosingTimeState::Hop& head = state.push(e0.dst);
   head.edges.push_back(BundleEdge{e0.ts, e0.id, 1});
-  return true;
 }
 
 void TemporalJohnsonSearch::report_instances(const ClosingTimeState& state,
@@ -95,14 +95,17 @@ std::uint64_t TemporalJohnsonSearch::search_from(const TemporalEdge& e0,
                                                  ClosingTimeState& state,
                                                  TemporalReachScratch* reach) {
   state.reset();
-  Timestamp hi = 0;
-  if (!prepare_root(graph_, e0, window_, options_.use_cycle_union, reach,
-                    state, hi)) {
+  const Timestamp hi = e0.ts + window_;
+  if (!options_.use_cycle_union) {
+    reach = nullptr;
+  }
+  if (!root_passes(graph_, e0, hi, reach, state.counters)) {
     return 0;
   }
+  push_root(state, e0);
   tail_ = e0.src;
   hi_ = hi;
-  reach_ = options_.use_cycle_union ? reach : nullptr;
+  reach_ = reach;
   instances_found_ = 0;
   const bool bounded = options_.max_cycle_length > 0;
   const std::int32_t rem0 = bounded ? options_.max_cycle_length - 1
@@ -303,7 +306,7 @@ EnumResult coarse_temporal_johnson_cycles(const TemporalGraph& graph,
   }
   SharedResult shared;
   ScratchPool<TemporalScratch> pool(
-      [n] { return std::make_unique<TemporalScratch>(n); });
+      sched, [n] { return std::make_unique<TemporalScratch>(n); });
   const auto edges = graph.edges_by_time();
   parallel_for_each_index(sched, 0, edges.size(), [&](std::size_t i) {
     const TemporalEdge& e0 = edges[i];
@@ -343,10 +346,10 @@ struct FineTemporalRun {
         popts(popts_),
         sink(sink_),
         bounded(options_.max_cycle_length > 0),
-        state_pool([n = graph_.num_vertices()] {
+        state_pool(sched_, [n = graph_.num_vertices()] {
           return std::make_unique<ClosingTimeState>(n);
         }),
-        reach_pool([n = graph_.num_vertices()] {
+        reach_pool(sched_, [n = graph_.num_vertices()] {
           auto scratch = std::make_unique<TemporalReachScratch>();
           scratch->init(n);
           return scratch;
@@ -393,6 +396,18 @@ struct TemporalSearchContext {
 bool fine_explore(TemporalSearchContext& search, ClosingTimeState& st,
                   std::int32_t rem);
 
+constexpr Timestamp kNoSuccess = std::numeric_limits<Timestamp>::min();
+
+// Child-to-parent result channel: the largest arrival at the child's vertex
+// that led to a cycle, kNoSuccess while none has.
+void note_success(std::atomic<Timestamp>& success_max, Timestamp ts) {
+  Timestamp seen = success_max.load(std::memory_order_relaxed);
+  while (seen < ts && !success_max.compare_exchange_weak(
+                          seen, ts, std::memory_order_release,
+                          std::memory_order_relaxed)) {
+  }
+}
+
 // Task: enter vertex `w` with the given bundle on the creator's state (if
 // still in LIFO position) or on a repaired copy.
 struct TemporalChildTask {
@@ -403,7 +418,7 @@ struct TemporalChildTask {
   std::vector<BundleEdge> bundle;
   std::int32_t rem;
   std::uint32_t creator_worker;
-  std::atomic<bool>* found_flag;
+  std::atomic<Timestamp>* success_max;
 
   void operator()() {
     FineTemporalRun& run = search->run;
@@ -429,7 +444,6 @@ struct TemporalChildTask {
       st->counters.state_reuses += 1;
     }
 
-    bool found = false;
     if (!st->on_path(w)) {
       // Re-filter the bundle against the (possibly evolved) closing times.
       std::vector<BundleEdge> usable;
@@ -440,20 +454,21 @@ struct TemporalChildTask {
         }
       }
       if (!usable.empty()) {
+        const Timestamp usable_max = usable.back().ts;
         {
           LockGuard<Spinlock> guard(st->lock());
           ClosingTimeState::Hop& hop = st->push(w);
           hop.edges = std::move(usable);
         }
-        found = fine_explore(*search, *st, rem);
+        const bool found = fine_explore(*search, *st, rem);
         {
           LockGuard<Spinlock> guard(st->lock());
           st->pop();
         }
+        if (found) {
+          note_success(*success_max, usable_max);
+        }
       }
-    }
-    if (found) {
-      found_flag->store(true, std::memory_order_release);
     }
     if (owned != nullptr) {
       run.merge_counters(owned->counters);
@@ -493,18 +508,15 @@ bool fine_explore(TemporalSearchContext& search, ClosingTimeState& st,
   }
 
   TaskGroup group(run.sched);
-  std::atomic<bool> stolen_found{false};
+  std::atomic<Timestamp> spawned_success{kNoSuccess};
   bool found = false;
   bool spawned = false;
-  Timestamp success_max = std::numeric_limits<Timestamp>::min();
-  // Bundles whose subtree succeeded contribute their last usable ts; stolen
-  // children operate on private states and cannot report which branch won,
-  // so the spawned maximum stands in (conservative: raises ct further, which
-  // is always sound).
-  Timestamp spawned_max = std::numeric_limits<Timestamp>::min();
-  // Scratch ranges of spawned branches: registered wholesale if this call
-  // exits without a success (stolen children register failures only on their
-  // own states; the parent's entry-lowering claim needs local entries).
+  // Largest arrival at a child that led to a cycle, taken after the child's
+  // closing-time filter: the exit raise may claim no more than a success
+  // showed (see the comment at the raise below).
+  Timestamp success_max = kNoSuccess;
+  // Scratch ranges of spawned branches, settled after the wait (a stolen
+  // child registers its failures only on its own copy of the state).
   std::vector<std::pair<std::size_t, std::size_t>> spawned_ranges;
 
   const auto register_failed = [&](VertexId w, std::size_t first,
@@ -568,18 +580,16 @@ bool fine_explore(TemporalSearchContext& search, ClosingTimeState& st,
       i = j;
       continue;
     }
-    const Timestamp branch_max = bundle.back().ts;
     if (run.should_spawn()) {
       // The child task re-checks on-path and closing times at execution and
-      // registers its own failures on whichever state it runs on.
+      // reports its post-filter success maximum through spawned_success.
       spawned = true;
-      spawned_max = std::max(spawned_max, branch_max);
       spawned_ranges.emplace_back(i, j);
       st.counters.tasks_spawned += 1;
       group.spawn(TemporalChildTask{
           &search, &st, st.path_length(), w, std::move(bundle), next,
           static_cast<std::uint32_t>(Scheduler::current_worker_id()),
-          &stolen_found});
+          &spawned_success});
       i = j;
       continue;
     }
@@ -601,6 +611,7 @@ bool fine_explore(TemporalSearchContext& search, ClosingTimeState& st,
       i = j;
       continue;
     }
+    const Timestamp branch_max = usable.back().ts;
     {
       LockGuard<Spinlock> guard(st.lock());
       ClosingTimeState::Hop& hop = st.push(w);
@@ -622,20 +633,39 @@ bool fine_explore(TemporalSearchContext& search, ClosingTimeState& st,
 
   if (spawned) {
     group.wait();
-    if (stolen_found.load(std::memory_order_acquire)) {
+    const Timestamp spawned_max =
+        spawned_success.load(std::memory_order_acquire);
+    if (spawned_max != kNoSuccess) {
       found = true;
+      success_max = std::max(success_max, spawned_max);
     }
-    // Whether stolen subtrees succeeded or failed we only know in aggregate;
-    // treat every spawned branch as potentially successful (raise, never
-    // claim failure): sound in both directions.
-    success_max = std::max(success_max, spawned_max);
-    if (!found) {
+    // Settle every spawned edge as the serial search would have by now: an
+    // edge whose arrival at w is still open counts as a possible success
+    // (raise v past it), a closed one as a failure waiting on ct(w).
+    if (!bounded) {
+      LockGuard<Spinlock> guard(st.lock());
       for (const auto& [first, last] : spawned_ranges) {
-        register_failed(scratch[first].dst, first, last);
+        const VertexId w = scratch[first].dst;
+        for (std::size_t k = first; k < last; ++k) {
+          if (st.arrival_open(w, scratch[k].ts)) {
+            st.raise_closing_time(v, scratch[k].ts);
+          } else {
+            st.register_unblock(w, v, scratch[k].ts);
+          }
+        }
       }
     }
   }
 
+  // The raise stops at the largest departure a success used, as in the
+  // serial search. A larger target, such as a departure the closing-time
+  // filter dropped, is not harmless: it lost cycles on the dense long-window
+  // graphs of FineJohnsonExactOnDenseLongWindow, even at one thread with
+  // nothing spawned. temporal_state.hpp calls raising "always sound"; that
+  // holds for the raised vertex's own arrivals, but the cascade also fires
+  // and deletes every unblock entry below the new value. Entries spent on a
+  // raise no success justified are missing when ct later falls and rises
+  // again, and their waiters stay closed.
   if (!bounded && found) {
     LockGuard<Spinlock> guard(st.lock());
     st.raise_closing_time(v, success_max);
@@ -654,21 +684,30 @@ void temporal_search_root(FineTemporalRun& run, const TemporalEdge& e0) {
     run.merge_counters(counters);
     return;
   }
+  // The prune rejects most starts, so the search state is taken only once
+  // it has passed.
+  const Timestamp hi = e0.ts + run.window;
   auto reach = run.reach_pool.acquire();
+  WorkCounters prune;
+  if (!detail::TemporalJohnsonSearch::root_passes(
+          run.graph, e0, hi,
+          run.options.use_cycle_union ? reach.get() : nullptr, prune)) {
+    if (prune.prune_edges_scanned != 0) {
+      run.merge_counters(prune);
+    }
+    run.reach_pool.release(std::move(reach));
+    return;
+  }
   auto state = run.state_pool.acquire();
   state->reset();
-  Timestamp hi = 0;
-  if (detail::TemporalJohnsonSearch::prepare_root(
-          run.graph, e0, run.window, run.options.use_cycle_union, reach.get(),
-          *state, hi)) {
-    TemporalSearchContext search{
-        run, e0.src, hi,
-        run.options.use_cycle_union ? reach.get() : nullptr};
-    const std::int32_t rem0 = run.bounded ? run.options.max_cycle_length - 1
-                                          : detail::kUnboundedRem;
-    if (rem0 >= 1) {
-      fine_explore(search, *state, rem0);
-    }
+  state->counters.prune_edges_scanned = prune.prune_edges_scanned;
+  detail::TemporalJohnsonSearch::push_root(*state, e0);
+  TemporalSearchContext search{
+      run, e0.src, hi, run.options.use_cycle_union ? reach.get() : nullptr};
+  const std::int32_t rem0 = run.bounded ? run.options.max_cycle_length - 1
+                                        : detail::kUnboundedRem;
+  if (rem0 >= 1) {
+    fine_explore(search, *state, rem0);
   }
   run.merge_counters(state->counters);
   run.state_pool.release(std::move(state));

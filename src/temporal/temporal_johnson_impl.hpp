@@ -16,17 +16,6 @@
 
 namespace parcycle::detail {
 
-// Admissible continuation edges from `v` for a bundle whose earliest arrival
-// is `min_arrival`, grouped by destination (stable on ts). Plain data filled
-// by collect_continuations below.
-struct Continuation {
-  VertexId dst;
-  // Indices into the caller's edge scratch; [first, last) are this group's
-  // edges ascending by ts.
-  std::size_t first;
-  std::size_t last;
-};
-
 class TemporalJohnsonSearch {
  public:
   TemporalJohnsonSearch(const TemporalGraph& graph, Timestamp window,
@@ -40,12 +29,16 @@ class TemporalJohnsonSearch {
 
   // Shared helpers ------------------------------------------------------------
 
-  // Sets up the root: returns false if the start can be skipped. On success
-  // the state holds hops [tail, head] with the head's bundle = {e0}.
-  static bool prepare_root(const TemporalGraph& graph, const TemporalEdge& e0,
-                           Timestamp window, bool use_cycle_union,
-                           TemporalReachScratch* reach, ClosingTimeState& state,
-                           Timestamp& hi_out);
+  // Adjacency prefilter, then the cycle-union prune when `reach` is given:
+  // false if no temporal cycle through e0 ends by `hi`. Adds the prune's
+  // scanned edges to `counters`.
+  static bool root_passes(const TemporalGraph& graph, const TemporalEdge& e0,
+                          Timestamp hi, TemporalReachScratch* reach,
+                          WorkCounters& counters);
+
+  // Pushes the root hops [tail, head] onto a reset state, the head's bundle
+  // being {e0}.
+  static void push_root(ClosingTimeState& state, const TemporalEdge& e0);
 
   // Expands and reports every instance of the current path closed by
   // `closing`, in lockstep with the DP count. Thread-safe given a

@@ -226,32 +226,34 @@ class TemporalRTCore {
   std::vector<EdgeId> edge_scratch_;
 };
 
-// Sets up the root for one starting edge; returns false to skip. On success
-// the state holds [tail, head] and `core` is bound.
-bool prepare_start(const TemporalGraph& graph, const TemporalEdge& e0,
-                   Timestamp window, const EnumOptions& options,
-                   TemporalReachScratch& reach, TemporalRTState& state,
-                   TemporalRTCore& core) {
-  state.reset();
-  const Timestamp hi = e0.ts + window;
+// Adjacency prefilter, then (with use_cycle_union) the cycle-union prune:
+// false when the start can be skipped. Adds the prune's scanned edges to
+// `counters`.
+bool start_passes(const TemporalGraph& graph, const TemporalEdge& e0,
+                  Timestamp hi, const EnumOptions& options,
+                  TemporalReachScratch& reach, WorkCounters& counters) {
+  if (options.max_cycle_length == 1) {
+    return false;  // only self-loops, handled by the drivers
+  }
   if (graph.out_edges_in_window(e0.dst, e0.ts + 1, hi).empty() ||
       graph.in_edges_in_window(e0.src, e0.ts + 1, hi).empty()) {
     return false;
   }
-  const TemporalReachScratch* reach_ptr = nullptr;
-  if (options.use_cycle_union) {
-    if (!reach.compute(graph, e0, hi)) {
-      return false;
-    }
-    reach_ptr = &reach;
+  if (!options.use_cycle_union) {
+    return true;
   }
-  if (options.max_cycle_length == 1) {
-    return false;  // only self-loops, handled by the drivers
-  }
-  core.bind(state, e0.src, hi, reach_ptr);
+  const bool passed = reach.compute(graph, e0, hi);
+  counters.prune_edges_scanned += reach.take_edges_scanned();
+  return passed;
+}
+
+// Binds `core` and pushes the root [tail, head] onto a reset state.
+void push_start(const TemporalEdge& e0, Timestamp hi,
+                const EnumOptions& options, const TemporalReachScratch& reach,
+                TemporalRTState& state, TemporalRTCore& core) {
+  core.bind(state, e0.src, hi, options.use_cycle_union ? &reach : nullptr);
   state.push(e0.src, kInvalidEdge, e0.ts);  // tail pinned; arrival unused
   state.push(e0.dst, e0.id, e0.ts);
-  return true;
 }
 
 // Depth-first drain used by the serial and coarse drivers.
@@ -291,11 +293,14 @@ struct SharedResult {
 std::uint64_t run_start(const TemporalGraph& graph, const TemporalEdge& e0,
                         Timestamp window, const EnumOptions& options,
                         CycleSink* sink, TRTScratch& scratch) {
-  TemporalRTCore core(graph, options, sink);
-  if (!prepare_start(graph, e0, window, options, scratch.reach, scratch.state,
-                     core)) {
+  scratch.state.reset();
+  const Timestamp hi = e0.ts + window;
+  if (!start_passes(graph, e0, hi, options, scratch.reach,
+                    scratch.state.counters)) {
     return 0;
   }
+  TemporalRTCore core(graph, options, sink);
+  push_start(e0, hi, options, scratch.reach, scratch.state, core);
   TExtPath root_ext;
   if (!core.find_root_extension(root_ext)) {
     return 0;
@@ -353,7 +358,7 @@ EnumResult coarse_temporal_read_tarjan_cycles(const TemporalGraph& graph,
   }
   SharedResult shared;
   ScratchPool<TRTScratch> pool(
-      [n] { return std::make_unique<TRTScratch>(n); });
+      sched, [n] { return std::make_unique<TRTScratch>(n); });
   const auto edges = graph.edges_by_time();
   parallel_for_each_index(sched, 0, edges.size(), [&](std::size_t i) {
     const TemporalEdge& e0 = edges[i];
@@ -391,10 +396,10 @@ struct FineTRTRun {
         options(options_),
         popts(popts_),
         sink(sink_),
-        state_pool([n = graph_.num_vertices()] {
+        state_pool(sched_, [n = graph_.num_vertices()] {
           return std::make_unique<TemporalRTState>(n);
         }),
-        reach_pool([n = graph_.num_vertices()] {
+        reach_pool(sched_, [n = graph_.num_vertices()] {
           auto scratch = std::make_unique<TemporalReachScratch>();
           scratch->init(n);
           return scratch;
@@ -514,22 +519,32 @@ void trt_search_root(FineTRTRun& run, const TemporalEdge& e0) {
     run.merge_counters(counters);
     return;
   }
+  // The prune rejects most starts, so the search state is taken only once
+  // it has passed.
+  const Timestamp hi = e0.ts + run.window;
   auto reach = run.reach_pool.acquire();
-  auto state = run.state_pool.acquire();
-  TemporalRTCore core(run.graph, run.options, run.sink);
-  if (prepare_start(run.graph, e0, run.window, run.options, *reach, *state,
-                    core)) {
-    FineTRTContext search{
-        run, e0.src, e0.ts + run.window,
-        run.options.use_cycle_union ? reach.get() : nullptr};
-    TExtPath root_ext;
-    if (core.find_root_extension(root_ext)) {
-      trt_exec_call(search, *state,
-                    TRTChild{state->path_length(),
-                             state->log_length(),
-                             std::move(root_ext),
-                             {}});
+  WorkCounters prune;
+  if (!start_passes(run.graph, e0, hi, run.options, *reach, prune)) {
+    if (prune.prune_edges_scanned != 0) {
+      run.merge_counters(prune);
     }
+    run.reach_pool.release(std::move(reach));
+    return;
+  }
+  auto state = run.state_pool.acquire();
+  state->reset();
+  state->counters.prune_edges_scanned = prune.prune_edges_scanned;
+  TemporalRTCore core(run.graph, run.options, run.sink);
+  push_start(e0, hi, run.options, *reach, *state, core);
+  FineTRTContext search{
+      run, e0.src, hi, run.options.use_cycle_union ? reach.get() : nullptr};
+  TExtPath root_ext;
+  if (core.find_root_extension(root_ext)) {
+    trt_exec_call(search, *state,
+                  TRTChild{state->path_length(),
+                           state->log_length(),
+                           std::move(root_ext),
+                           {}});
   }
   run.merge_counters(state->counters);
   run.state_pool.release(std::move(state));

@@ -7,7 +7,10 @@
 //    >= ct[v] provably cannot close a temporal cycle. It generalises
 //    Johnson's blocked set (blocked == ct[v] = -inf side; unblocked ==
 //    ct[v] = +inf). Failures lower ct; successes and the unblock-list
-//    cascade raise it. Raising is always sound (it only re-enables search).
+//    cascade raise it. A raise re-enables search at v, which is sound for
+//    v's own arrivals, but it also fires and deletes the unblock entries
+//    below the new value; so a search may raise only to what a success or
+//    a fired entry justifies (see the exit raise in temporal_johnson.cpp).
 //
 //  * Path bundles: one recursive call carries, per path hop, the whole set of
 //    usable parallel edges with per-arrival instance counts, so a vertex

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <thread>
+
 namespace parcycle {
 namespace {
 
@@ -189,8 +193,9 @@ TEST(JohnsonState, CountersTrackOperations) {
 }
 
 TEST(ScratchPool, AcquireReleaseReuses) {
+  Scheduler sched(1);  // the calling thread is worker 0
   ScratchPool<JohnsonState> pool(
-      [] { return std::make_unique<JohnsonState>(8); });
+      sched, [] { return std::make_unique<JohnsonState>(8); });
   auto a = pool.acquire();
   JohnsonState* raw = a.get();
   pool.release(std::move(a));
@@ -200,6 +205,83 @@ TEST(ScratchPool, AcquireReleaseReuses) {
   EXPECT_NE(c.get(), raw);
   pool.release(std::move(b));
   pool.release(std::move(c));
+}
+
+// A pooled object that counts its concurrent holders.
+struct Tracked {
+  std::atomic<int> holders{0};
+};
+
+// Acquires from `pool`, checking that no other task holds the object.
+std::unique_ptr<Tracked> acquire_exclusive(ScratchPool<Tracked>& pool,
+                                           std::atomic<int>& violations) {
+  auto item = pool.acquire();
+  if (item->holders.fetch_add(1, std::memory_order_acq_rel) != 0) {
+    violations.fetch_add(1, std::memory_order_relaxed);
+  }
+  return item;
+}
+
+void release_exclusive(ScratchPool<Tracked>& pool,
+                       std::unique_ptr<Tracked> item) {
+  item->holders.fetch_sub(1, std::memory_order_acq_rel);
+  pool.release(std::move(item));
+}
+
+TEST(ScratchPool, PerWorkerListsUnderFourWorkers) {
+  Scheduler sched(4);
+  ScratchPool<Tracked> pool(sched, [] { return std::make_unique<Tracked>(); });
+  std::atomic<int> violations{0};
+  std::atomic<int> reuse_misses{0};
+  std::atomic<int> outside_rounds{0};
+  std::atomic<bool> stop{false};
+
+  // A thread that is not a worker shares the locked list while the workers
+  // run.
+  std::thread outsider([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      auto item = acquire_exclusive(pool, violations);
+      release_exclusive(pool, std::move(item));
+      outside_rounds.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+
+  // Each root holds an object across a nested wait, so a worker blocked in
+  // wait() runs other roots that need objects of their own.
+  parallel_for_each_index(sched, 0, 256, [&](std::size_t) {
+    auto held = acquire_exclusive(pool, violations);
+    TaskGroup group(sched);
+    for (int k = 0; k < 4; ++k) {
+      group.spawn([&] {
+        auto item = acquire_exclusive(pool, violations);
+        Tracked* raw = item.get();
+        release_exclusive(pool, std::move(item));
+        auto again = acquire_exclusive(pool, violations);
+        if (again.get() != raw) {
+          reuse_misses.fetch_add(1, std::memory_order_relaxed);
+        }
+        release_exclusive(pool, std::move(again));
+      });
+    }
+    group.wait();
+    release_exclusive(pool, std::move(held));
+  });
+
+  while (outside_rounds.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
+  stop.store(true, std::memory_order_release);
+  outsider.join();
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_EQ(reuse_misses.load(), 0);
+
+  // Off the scheduler's workers the shared list still recycles.
+  std::thread([&] {
+    auto a = pool.acquire();
+    Tracked* raw = a.get();
+    pool.release(std::move(a));
+    EXPECT_EQ(pool.acquire().get(), raw);
+  }).join();
 }
 
 }  // namespace

@@ -152,6 +152,20 @@ TEST(MetricsRegistry, ValueLookupAndSetSemantics) {
   EXPECT_TRUE(reg.families().empty());
 }
 
+TEST(MetricsRegistry, WorkImportExportsPruneEdgesScanned) {
+  MetricsRegistry reg;
+  WorkCounters work;
+  work.edges_visited = 7;
+  work.prune_edges_scanned = 123456;
+  reg.import_work("parcycle_batch_work", work);
+  EXPECT_EQ(reg.value_u64("parcycle_batch_work_prune_edges_scanned_total")
+                .value_or(0),
+            123456u);
+  EXPECT_EQ(reg.value_u64("parcycle_batch_work_edges_visited_total")
+                .value_or(0),
+            7u);
+}
+
 TEST(MetricsRegistry, SchedulerImportMatchesWorkerStats) {
   MetricsRegistry reg;
   Scheduler::with_pool(

@@ -2,7 +2,9 @@
 // algorithms, across thread counts, spawn policies and restore modes.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "support/prng.hpp"
@@ -136,6 +138,98 @@ TEST(TemporalParallel, WindowSweep) {
     const auto fr = fine_temporal_read_tarjan_cycles(g, window, sched);
     EXPECT_EQ(fj.num_cycles, serial.num_cycles) << "window " << window;
     EXPECT_EQ(fr.num_cycles, serial.num_cycles) << "window " << window;
+  }
+}
+
+// Every driver runs the cycle-union prune once per start, so its scanned
+// edge count is the same serial, coarse and fine, at any thread count; and
+// it is kept apart from the DFS work metric.
+TEST(TemporalParallel, PruneEdgesScannedAgreeAcrossDrivers) {
+  const TemporalGraph g = test_graph(131);
+  const Timestamp window = 300;
+  const auto serial = temporal_johnson_cycles(g, window);
+  const auto serial_rt = temporal_read_tarjan_cycles(g, window);
+  ASSERT_GT(serial.work.prune_edges_scanned, 0u);
+  EXPECT_EQ(serial_rt.work.prune_edges_scanned,
+            serial.work.prune_edges_scanned);
+  EnumOptions no_prune;
+  no_prune.use_cycle_union = false;
+  EXPECT_EQ(temporal_johnson_cycles(g, window, no_prune)
+                .work.prune_edges_scanned,
+            0u);
+  for (const unsigned threads : {1u, 4u}) {
+    Scheduler sched(threads);
+    EXPECT_EQ(fine_temporal_johnson_cycles(g, window, sched)
+                  .work.prune_edges_scanned,
+              serial.work.prune_edges_scanned);
+    EXPECT_EQ(fine_temporal_read_tarjan_cycles(g, window, sched)
+                  .work.prune_edges_scanned,
+              serial.work.prune_edges_scanned);
+    EXPECT_EQ(coarse_temporal_johnson_cycles(g, window, sched)
+                  .work.prune_edges_scanned,
+              serial.work.prune_edges_scanned);
+  }
+}
+
+// Dense graph, long window, no cycle-union prune: the closing-time protocol
+// alone decides what the search skips. On this family the fine driver once
+// raised a parent past departures the child's filter had dropped, and settled
+// spawned branches only after a failure, which lost a few cycles per graph
+// even at one thread and with nothing spawned.
+TEST(TemporalParallel, FineJohnsonExactOnDenseLongWindow) {
+  const Timestamp window = 20000;
+  EnumOptions options;
+  options.use_cycle_union = false;
+  struct Config {
+    unsigned threads;
+    SpawnPolicy policy;
+    bool naive;
+    std::int64_t queue_threshold;
+  };
+  std::vector<Config> configs;
+  for (const unsigned threads : {1u, 4u}) {
+    for (const SpawnPolicy policy :
+         {SpawnPolicy::kAlways, SpawnPolicy::kAdaptive}) {
+      for (const bool naive : {false, true}) {
+        configs.push_back({threads, policy, naive, 8});
+      }
+    }
+    configs.push_back({threads, SpawnPolicy::kAdaptive, false, 0});
+  }
+  for (const std::uint64_t seed : {1, 3, 4, 6, 8, 10}) {
+    ScaleFreeTemporalParams params;
+    params.num_vertices = 100;
+    params.num_edges = 4000;
+    params.time_span = 100000;
+    params.attachment = 0.6;
+    params.burstiness = 0.6;
+    params.seed = seed;
+    const TemporalGraph g = scale_free_temporal(params);
+    CollectingSink oracle_sink;
+    const auto oracle = temporal_johnson_cycles(g, window, options, &oracle_sink);
+    const auto expected = oracle_sink.sorted_cycles();
+    ASSERT_EQ(expected.size(), oracle.num_cycles);
+    const auto rt = temporal_read_tarjan_cycles(g, window, options);
+    ASSERT_EQ(rt.num_cycles, oracle.num_cycles) << "seed " << seed;
+    for (const Config& config : configs) {
+      ParallelOptions popts;
+      popts.spawn_policy = config.policy;
+      popts.naive_state_restore = config.naive;
+      popts.spawn_queue_threshold = config.queue_threshold;
+      CollectingSink sink;
+      const auto fine = Scheduler::with_pool(config.threads, [&](Scheduler& s) {
+        return fine_temporal_johnson_cycles(g, window, s, options, popts,
+                                            &sink);
+      });
+      const std::string where =
+          "seed " + std::to_string(seed) + ", " +
+          std::to_string(config.threads) + " threads, policy " +
+          std::to_string(static_cast<int>(config.policy)) + ", naive " +
+          std::to_string(config.naive) + ", threshold " +
+          std::to_string(config.queue_threshold);
+      EXPECT_EQ(fine.num_cycles, oracle.num_cycles) << where;
+      EXPECT_TRUE(sink.sorted_cycles() == expected) << where;
+    }
   }
 }
 

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <limits>
+#include <vector>
+
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 
@@ -94,6 +99,216 @@ TEST(TemporalReach, ScratchReusableAcrossStarts) {
     }
   }
   SUCCEED() << successes;
+}
+
+// The two slice passes alone, as compute() ran them before the reach probe
+// existed: the reference the probe must never disagree with.
+struct ReferenceReach {
+  static constexpr Timestamp kNever = std::numeric_limits<Timestamp>::max();
+  static constexpr Timestamp kNegInf = std::numeric_limits<Timestamp>::min();
+
+  std::vector<char> touched;
+  std::vector<char> seen;
+  std::vector<Timestamp> arrival;
+  std::vector<Timestamp> departure;
+
+  bool contains(VertexId v) const {
+    return touched[v] && arrival[v] < departure[v];
+  }
+
+  bool compute(const TemporalGraph& graph, const TemporalEdge& e0,
+               Timestamp hi) {
+    const VertexId n = graph.num_vertices();
+    touched.assign(n, 0);
+    seen.assign(n, 0);
+    arrival.assign(n, kNever);
+    departure.assign(n, kNegInf);
+    const auto edges = graph.edges_by_time();
+    const auto first_at = [&](Timestamp t) {
+      return static_cast<std::size_t>(
+          std::lower_bound(edges.begin(), edges.end(), t,
+                           [](const TemporalEdge& e, Timestamp x) {
+                             return e.ts < x;
+                           }) -
+          edges.begin());
+    };
+    const std::size_t begin = first_at(e0.ts + 1);
+    const std::size_t end = first_at(hi + 1);
+    touched[e0.dst] = touched[e0.src] = 1;
+    arrival[e0.dst] = e0.ts;
+    seen[e0.dst] = 1;
+    for (std::size_t i = begin; i < end; ++i) {
+      const TemporalEdge& e = edges[i];
+      if (seen[e.src] && e.ts > arrival[e.src]) {
+        touched[e.dst] = 1;
+        if (!seen[e.dst]) {
+          seen[e.dst] = 1;
+          arrival[e.dst] = e.ts;
+        }
+      }
+    }
+    if (!seen[e0.src]) {
+      return false;
+    }
+    departure[e0.src] = kNever;
+    for (std::size_t i = end; i-- > begin;) {
+      const TemporalEdge& e = edges[i];
+      if (touched[e.dst] && departure[e.dst] > e.ts) {
+        touched[e.src] = 1;
+        departure[e.src] = std::max(departure[e.src], e.ts);
+      }
+    }
+    return contains(e0.dst);
+  }
+};
+
+// Runs compute() and the reference on every start, counting how often each
+// probe outcome occurred.
+void expect_matches_reference(const TemporalGraph& g, Timestamp window,
+                              std::array<int, 3>& outcomes) {
+  TemporalReachScratch reach;
+  reach.init(g.num_vertices());
+  ReferenceReach ref;
+  for (const TemporalEdge& e0 : g.edges_by_time()) {
+    if (e0.src == e0.dst) {
+      continue;
+    }
+    const Timestamp hi = e0.ts + window;
+    const bool expected = ref.compute(g, e0, hi);
+    ASSERT_EQ(reach.compute(g, e0, hi), expected) << "start " << e0.id;
+    outcomes[static_cast<std::size_t>(reach.last_probe())] += 1;
+    if (!expected) {
+      continue;
+    }
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      ASSERT_EQ(reach.contains(v), ref.contains(v))
+          << "start " << e0.id << ", vertex " << v;
+      ASSERT_EQ(reach.reached_forward(v), static_cast<bool>(ref.seen[v]))
+          << "start " << e0.id << ", vertex " << v;
+      if (ref.touched[v]) {
+        ASSERT_EQ(reach.earliest_arrival(v), ref.arrival[v])
+            << "start " << e0.id << ", vertex " << v;
+        ASSERT_EQ(reach.latest_departure(v), ref.departure[v])
+            << "start " << e0.id << ", vertex " << v;
+      }
+    }
+  }
+}
+
+constexpr auto kExhausted =
+    static_cast<std::size_t>(TemporalReachScratch::ProbeOutcome::kExhausted);
+constexpr auto kTailHit =
+    static_cast<std::size_t>(TemporalReachScratch::ProbeOutcome::kTailHit);
+constexpr auto kBudgetOut =
+    static_cast<std::size_t>(TemporalReachScratch::ProbeOutcome::kBudgetOut);
+
+TEST(TemporalReach, MatchesTwoPassReferenceOnSparseGraphs) {
+  // Payment-network-like: many accounts, few transfers each, so most
+  // starts have a small time-respecting closure.
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    ScaleFreeTemporalParams params;
+    params.num_vertices = 2000;
+    params.num_edges = 12000;
+    params.time_span = 1000000;
+    params.attachment = 0.75;
+    params.burstiness = 0.6;
+    params.seed = seed;
+    const TemporalGraph g = scale_free_temporal(params);
+    std::array<int, 3> outcomes{};
+    expect_matches_reference(g, 60000, outcomes);
+    EXPECT_GT(outcomes[kExhausted], 0) << "seed " << seed;
+  }
+}
+
+TEST(TemporalReach, MatchesTwoPassReferenceOnDenseGraphs) {
+  for (const std::uint64_t seed : {1, 2}) {
+    ScaleFreeTemporalParams params;
+    params.num_vertices = 400;
+    params.num_edges = 6000;
+    params.time_span = 100000;
+    params.attachment = 0.3;
+    params.burstiness = 0.6;
+    params.burst_width = 0.03;
+    params.seed = seed;
+    const TemporalGraph g = scale_free_temporal(params);
+    std::array<int, 3> outcomes{};
+    expect_matches_reference(g, 19000, outcomes);
+    EXPECT_GT(outcomes[kTailHit] + outcomes[kBudgetOut], 0) << "seed " << seed;
+  }
+}
+
+// Start 0 -> 1 @ 10 plus 300 filler edges between vertices 3 and 4 inside
+// the window, so the probe budget is (slice >> 7) = 2 edges.
+GraphBuilder probe_case_builder() {
+  GraphBuilder builder(8);
+  builder.add_edge(0, 1, 10);
+  for (Timestamp t = 0; t < 300; ++t) {
+    builder.add_edge(3, 4, 100 + t);
+  }
+  return builder;
+}
+
+TEST(TemporalReach, ProbeExhaustsSmallClosure) {
+  GraphBuilder builder = probe_case_builder();
+  builder.add_edge(1, 2, 20);  // dead end
+  builder.add_edge(4, 0, 50);  // the tail has an in-edge, unreachable
+  const TemporalGraph g = builder.build_temporal();
+  TemporalReachScratch reach;
+  reach.init(g.num_vertices());
+  EXPECT_FALSE(reach.compute(g, g.edge(0), 1000));
+  EXPECT_EQ(reach.last_probe(),
+            TemporalReachScratch::ProbeOutcome::kExhausted);
+  EXPECT_EQ(reach.take_edges_scanned(), 1u);  // no slice pass ran
+}
+
+TEST(TemporalReach, ProbeStopsAtTheTail) {
+  GraphBuilder builder = probe_case_builder();
+  builder.add_edge(1, 0, 20);
+  const TemporalGraph g = builder.build_temporal();
+  TemporalReachScratch reach;
+  reach.init(g.num_vertices());
+  EXPECT_TRUE(reach.compute(g, g.edge(0), 1000));
+  EXPECT_EQ(reach.last_probe(), TemporalReachScratch::ProbeOutcome::kTailHit);
+  EXPECT_TRUE(reach.contains(1));
+  const std::uint64_t slice = g.num_edges() - 1;
+  EXPECT_EQ(reach.take_edges_scanned(), 1 + 2 * slice);
+}
+
+TEST(TemporalReach, ProbeBudgetRunsOutIntoSlicePasses) {
+  GraphBuilder builder = probe_case_builder();
+  builder.add_edge(1, 2, 20);  // a chain longer than the budget that never
+  builder.add_edge(2, 5, 30);  // returns to the tail
+  builder.add_edge(5, 6, 40);
+  builder.add_edge(6, 7, 50);
+  const TemporalGraph g = builder.build_temporal();
+  TemporalReachScratch reach;
+  reach.init(g.num_vertices());
+  EXPECT_FALSE(reach.compute(g, g.edge(0), 1000));  // the passes decide
+  EXPECT_EQ(reach.last_probe(),
+            TemporalReachScratch::ProbeOutcome::kBudgetOut);
+  const std::uint64_t slice = g.num_edges() - 1;
+  EXPECT_EQ(reach.take_edges_scanned(), (slice >> 7) + slice);
+}
+
+TEST(TemporalReach, ProbeRescansAVertexWhoseArrivalImproves) {
+  // FIFO order reaches 2 first at 50, then at 20 via 3 and 4; only the
+  // improved arrival can take 2 -> 0 @ 30 back to the tail.
+  GraphBuilder builder(8);
+  builder.add_edge(0, 1, 10);
+  builder.add_edge(1, 3, 15);
+  builder.add_edge(1, 2, 50);
+  builder.add_edge(3, 4, 16);
+  builder.add_edge(4, 2, 20);
+  builder.add_edge(2, 0, 30);
+  for (Timestamp t = 0; t < 1000; ++t) {
+    builder.add_edge(5, 6, 100 + t);  // budget (slice >> 7) = 7 edges
+  }
+  const TemporalGraph g = builder.build_temporal();
+  TemporalReachScratch reach;
+  reach.init(g.num_vertices());
+  EXPECT_TRUE(reach.compute(g, g.edge(0), 2000));
+  EXPECT_EQ(reach.last_probe(), TemporalReachScratch::ProbeOutcome::kTailHit);
+  EXPECT_TRUE(reach.contains(2));
 }
 
 }  // namespace
