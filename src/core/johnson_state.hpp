@@ -221,11 +221,11 @@ class JohnsonState {
   Spinlock lock_;
 };
 
-// Thread-safe pool of reusable per-search scratch objects, one checked out
-// per root search or stolen task. Each worker of the bound scheduler owns a
+// Pool of reusable per-search scratch objects, one checked out per root
+// search or stolen task. Each worker of the bound scheduler owns a
 // cache-line-padded free list that only it touches, so acquire and release
-// take no lock and share no line; threads that are not its workers share one
-// locked list. An object goes back on the list of the thread that acquired
+// take no lock and share no line. Both must run on a worker of that
+// scheduler, and an object goes back on the list of the worker that acquired
 // it, which holds as long as acquire and release sit in one task body (a
 // task never migrates). One object per worker would not do: a root search
 // blocked in group.wait() can run another root search on the same worker.
@@ -234,37 +234,20 @@ class ScratchPool {
  public:
   template <typename MakeFn>
   ScratchPool(const Scheduler& sched, MakeFn&& make)
-      : make_(std::forward<MakeFn>(make)),
-        sched_(&sched),
-        local_(sched.num_workers()) {}
+      : make_(std::forward<MakeFn>(make)), local_(sched.num_workers()) {}
 
   std::unique_ptr<T> acquire() {
-    if (FreeList* list = local_list()) {
-      if (!list->items.empty()) {
-        std::unique_ptr<T> item = std::move(list->items.back());
-        list->items.pop_back();
-        return item;
-      }
+    FreeList& list = local_list();
+    if (list.items.empty()) {
       return make_();
     }
-    {
-      LockGuard<Spinlock> guard(shared_lock_);
-      if (!shared_.empty()) {
-        std::unique_ptr<T> item = std::move(shared_.back());
-        shared_.pop_back();
-        return item;
-      }
-    }
-    return make_();
+    std::unique_ptr<T> item = std::move(list.items.back());
+    list.items.pop_back();
+    return item;
   }
 
   void release(std::unique_ptr<T> item) {
-    if (FreeList* list = local_list()) {
-      list->items.push_back(std::move(item));
-      return;
-    }
-    LockGuard<Spinlock> guard(shared_lock_);
-    shared_.push_back(std::move(item));
+    local_list().items.push_back(std::move(item));
   }
 
  private:
@@ -272,19 +255,15 @@ class ScratchPool {
     std::vector<std::unique_ptr<T>> items;
   };
 
-  // The calling worker's own list, or nullptr off the bound scheduler.
-  FreeList* local_list() noexcept {
-    if (Scheduler::current() != sched_) {
-      return nullptr;
-    }
-    return &local_[static_cast<std::size_t>(Scheduler::current_worker_id())];
+  FreeList& local_list() noexcept {
+    const int worker = Scheduler::current_worker_id();
+    assert(worker >= 0 && static_cast<std::size_t>(worker) < local_.size() &&
+           "ScratchPool must be used on a worker thread of its scheduler");
+    return local_[static_cast<std::size_t>(worker)];
   }
 
   std::function<std::unique_ptr<T>()> make_;
-  const Scheduler* sched_;
   std::vector<FreeList> local_;
-  Spinlock shared_lock_;
-  std::vector<std::unique_ptr<T>> shared_;
 };
 
 }  // namespace parcycle

@@ -54,7 +54,6 @@ bool TemporalReachScratch::probe(const TemporalGraph& graph,
   const VertexId head = e0.dst;
   const VertexId tail = e0.src;
   if (head == tail) {
-    last_probe_ = ProbeOutcome::kTailHit;
     return true;
   }
   next_epoch();
@@ -74,13 +73,11 @@ bool TemporalReachScratch::probe(const TemporalGraph& graph,
          graph.out_edges_in_window(v, earliest_arrival_[v] + 1, hi)) {
       if (scanned == budget) {
         edges_scanned_ += scanned;
-        last_probe_ = ProbeOutcome::kBudgetOut;
         return true;
       }
       scanned += 1;
       if (e.dst == tail) {
         edges_scanned_ += scanned;
-        last_probe_ = ProbeOutcome::kTailHit;
         return true;
       }
       touch(e.dst);
@@ -94,7 +91,6 @@ bool TemporalReachScratch::probe(const TemporalGraph& graph,
     }
   }
   edges_scanned_ += scanned;
-  last_probe_ = ProbeOutcome::kExhausted;
   return false;
 }
 

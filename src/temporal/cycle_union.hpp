@@ -39,13 +39,6 @@ namespace parcycle {
 
 class TemporalReachScratch {
  public:
-  // How the reach probe of the last compute() ended.
-  enum class ProbeOutcome : std::uint8_t {
-    kExhausted,  // closure exhausted without the tail: start rejected
-    kTailHit,    // an edge reached the tail: slice passes ran
-    kBudgetOut,  // edge budget spent first: slice passes ran
-  };
-
   // The probe may scan at most (slice edges >> kProbeBudgetShift) edges.
   // The budget protects graphs where most starts pass: on one 20k-edge
   // draw of the dense analog (window 19,000, 13,843 starts passing) the
@@ -80,8 +73,6 @@ class TemporalReachScratch {
     return stamp_[v] == epoch_ && fwd_seen_[v];
   }
 
-  ProbeOutcome last_probe() const noexcept { return last_probe_; }
-
   // Edges scanned (probe plus slice passes) since the last call; resets the
   // tally. The drivers fold it into WorkCounters::prune_edges_scanned.
   std::uint64_t take_edges_scanned() noexcept {
@@ -106,7 +97,6 @@ class TemporalReachScratch {
   std::vector<VertexId> queue_;
   std::uint32_t epoch_ = 0;
   std::uint64_t edges_scanned_ = 0;
-  ProbeOutcome last_probe_ = ProbeOutcome::kExhausted;
 };
 
 }  // namespace parcycle

@@ -95,6 +95,12 @@ std::uint64_t TemporalJohnsonSearch::search_from(const TemporalEdge& e0,
                                                  ClosingTimeState& state,
                                                  TemporalReachScratch* reach) {
   state.reset();
+  const bool bounded = options_.max_cycle_length > 0;
+  const std::int32_t rem0 = bounded ? options_.max_cycle_length - 1
+                                    : detail::kUnboundedRem;
+  if (rem0 < 1) {
+    return 0;  // only self-loops, handled by the drivers
+  }
   const Timestamp hi = e0.ts + window_;
   if (!options_.use_cycle_union) {
     reach = nullptr;
@@ -107,12 +113,7 @@ std::uint64_t TemporalJohnsonSearch::search_from(const TemporalEdge& e0,
   hi_ = hi;
   reach_ = reach;
   instances_found_ = 0;
-  const bool bounded = options_.max_cycle_length > 0;
-  const std::int32_t rem0 = bounded ? options_.max_cycle_length - 1
-                                    : detail::kUnboundedRem;
-  if (rem0 >= 1) {
-    explore(state, rem0);
-  }
+  explore(state, rem0);
   return instances_found_;
 }
 
@@ -660,12 +661,12 @@ bool fine_explore(TemporalSearchContext& search, ClosingTimeState& st,
   // The raise stops at the largest departure a success used, as in the
   // serial search. A larger target, such as a departure the closing-time
   // filter dropped, is not harmless: it lost cycles on the dense long-window
-  // graphs of FineJohnsonExactOnDenseLongWindow, even at one thread with
-  // nothing spawned. temporal_state.hpp calls raising "always sound"; that
-  // holds for the raised vertex's own arrivals, but the cascade also fires
-  // and deletes every unblock entry below the new value. Entries spent on a
-  // raise no success justified are missing when ct later falls and rises
-  // again, and their waiters stay closed.
+  // graphs of FineJohnsonDenseLongWindow (temporal_parallel_test), even at
+  // one thread with nothing spawned. temporal_state.hpp calls raising
+  // "always sound"; that holds for the raised vertex's own arrivals, but the
+  // cascade also fires and deletes every unblock entry below the new value.
+  // Entries spent on a raise no success justified are missing when ct later
+  // falls and rises again, and their waiters stay closed.
   if (!bounded && found) {
     LockGuard<Spinlock> guard(st.lock());
     st.raise_closing_time(v, success_max);
@@ -683,6 +684,11 @@ void temporal_search_root(FineTemporalRun& run, const TemporalEdge& e0) {
     counters.cycles_found = 1;
     run.merge_counters(counters);
     return;
+  }
+  const std::int32_t rem0 = run.bounded ? run.options.max_cycle_length - 1
+                                        : detail::kUnboundedRem;
+  if (rem0 < 1) {
+    return;  // only self-loops, handled above
   }
   // The prune rejects most starts, so the search state is taken only once
   // it has passed.
@@ -704,11 +710,7 @@ void temporal_search_root(FineTemporalRun& run, const TemporalEdge& e0) {
   detail::TemporalJohnsonSearch::push_root(*state, e0);
   TemporalSearchContext search{
       run, e0.src, hi, run.options.use_cycle_union ? reach.get() : nullptr};
-  const std::int32_t rem0 = run.bounded ? run.options.max_cycle_length - 1
-                                        : detail::kUnboundedRem;
-  if (rem0 >= 1) {
-    fine_explore(search, *state, rem0);
-  }
+  fine_explore(search, *state, rem0);
   run.merge_counters(state->counters);
   run.state_pool.release(std::move(state));
   run.reach_pool.release(std::move(reach));

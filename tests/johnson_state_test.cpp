@@ -6,7 +6,6 @@
 
 #include <atomic>
 #include <memory>
-#include <thread>
 
 namespace parcycle {
 namespace {
@@ -233,18 +232,6 @@ TEST(ScratchPool, PerWorkerListsUnderFourWorkers) {
   ScratchPool<Tracked> pool(sched, [] { return std::make_unique<Tracked>(); });
   std::atomic<int> violations{0};
   std::atomic<int> reuse_misses{0};
-  std::atomic<int> outside_rounds{0};
-  std::atomic<bool> stop{false};
-
-  // A thread that is not a worker shares the locked list while the workers
-  // run.
-  std::thread outsider([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      auto item = acquire_exclusive(pool, violations);
-      release_exclusive(pool, std::move(item));
-      outside_rounds.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
 
   // Each root holds an object across a nested wait, so a worker blocked in
   // wait() runs other roots that need objects of their own.
@@ -267,21 +254,8 @@ TEST(ScratchPool, PerWorkerListsUnderFourWorkers) {
     release_exclusive(pool, std::move(held));
   });
 
-  while (outside_rounds.load(std::memory_order_relaxed) == 0) {
-    std::this_thread::yield();
-  }
-  stop.store(true, std::memory_order_release);
-  outsider.join();
   EXPECT_EQ(violations.load(), 0);
   EXPECT_EQ(reuse_misses.load(), 0);
-
-  // Off the scheduler's workers the shared list still recycles.
-  std::thread([&] {
-    auto a = pool.acquire();
-    Tracked* raw = a.get();
-    pool.release(std::move(a));
-    EXPECT_EQ(pool.acquire().get(), raw);
-  }).join();
 }
 
 }  // namespace

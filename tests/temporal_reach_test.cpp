@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <limits>
 #include <vector>
 
@@ -111,6 +110,7 @@ struct ReferenceReach {
   std::vector<char> seen;
   std::vector<Timestamp> arrival;
   std::vector<Timestamp> departure;
+  std::size_t slice = 0;  // window slice of the last compute()
 
   bool contains(VertexId v) const {
     return touched[v] && arrival[v] < departure[v];
@@ -134,6 +134,7 @@ struct ReferenceReach {
     };
     const std::size_t begin = first_at(e0.ts + 1);
     const std::size_t end = first_at(hi + 1);
+    slice = end - begin;
     touched[e0.dst] = touched[e0.src] = 1;
     arrival[e0.dst] = e0.ts;
     seen[e0.dst] = 1;
@@ -162,10 +163,20 @@ struct ReferenceReach {
   }
 };
 
-// Runs compute() and the reference on every start, counting how often each
-// probe outcome occurred.
+// How many starts the probe rejected alone, and how many ran the slice
+// passes.
+struct ProbeTally {
+  int rejected_by_probe = 0;
+  int ran_slice_passes = 0;
+};
+
+// Runs compute() and the reference on every start. The scanned-edge tally
+// tells where compute() stopped: it is probe + k * slice, where the probe's
+// share is at most the probe budget, which is always below the slice, and k
+// counts the slice passes that ran, so k and the probe's share are its
+// quotient and remainder by the slice.
 void expect_matches_reference(const TemporalGraph& g, Timestamp window,
-                              std::array<int, 3>& outcomes) {
+                              ProbeTally& tally) {
   TemporalReachScratch reach;
   reach.init(g.num_vertices());
   ReferenceReach ref;
@@ -176,7 +187,22 @@ void expect_matches_reference(const TemporalGraph& g, Timestamp window,
     const Timestamp hi = e0.ts + window;
     const bool expected = ref.compute(g, e0, hi);
     ASSERT_EQ(reach.compute(g, e0, hi), expected) << "start " << e0.id;
-    outcomes[static_cast<std::size_t>(reach.last_probe())] += 1;
+    const std::uint64_t scanned = reach.take_edges_scanned();
+    if (ref.slice > 0) {
+      const std::uint64_t passes = scanned / ref.slice;
+      ASSERT_LE(scanned % ref.slice,
+                ref.slice >> TemporalReachScratch::kProbeBudgetShift)
+          << "start " << e0.id;
+      ASSERT_LE(passes, 2u) << "start " << e0.id;
+      if (expected) {
+        ASSERT_EQ(passes, 2u) << "start " << e0.id;
+      }
+      if (passes == 0) {
+        tally.rejected_by_probe += 1;
+      } else {
+        tally.ran_slice_passes += 1;
+      }
+    }
     if (!expected) {
       continue;
     }
@@ -195,13 +221,6 @@ void expect_matches_reference(const TemporalGraph& g, Timestamp window,
   }
 }
 
-constexpr auto kExhausted =
-    static_cast<std::size_t>(TemporalReachScratch::ProbeOutcome::kExhausted);
-constexpr auto kTailHit =
-    static_cast<std::size_t>(TemporalReachScratch::ProbeOutcome::kTailHit);
-constexpr auto kBudgetOut =
-    static_cast<std::size_t>(TemporalReachScratch::ProbeOutcome::kBudgetOut);
-
 TEST(TemporalReach, MatchesTwoPassReferenceOnSparseGraphs) {
   // Payment-network-like: many accounts, few transfers each, so most
   // starts have a small time-respecting closure.
@@ -214,9 +233,9 @@ TEST(TemporalReach, MatchesTwoPassReferenceOnSparseGraphs) {
     params.burstiness = 0.6;
     params.seed = seed;
     const TemporalGraph g = scale_free_temporal(params);
-    std::array<int, 3> outcomes{};
-    expect_matches_reference(g, 60000, outcomes);
-    EXPECT_GT(outcomes[kExhausted], 0) << "seed " << seed;
+    ProbeTally tally;
+    expect_matches_reference(g, 60000, tally);
+    EXPECT_GT(tally.rejected_by_probe, 0) << "seed " << seed;
   }
 }
 
@@ -231,9 +250,9 @@ TEST(TemporalReach, MatchesTwoPassReferenceOnDenseGraphs) {
     params.burst_width = 0.03;
     params.seed = seed;
     const TemporalGraph g = scale_free_temporal(params);
-    std::array<int, 3> outcomes{};
-    expect_matches_reference(g, 19000, outcomes);
-    EXPECT_GT(outcomes[kTailHit] + outcomes[kBudgetOut], 0) << "seed " << seed;
+    ProbeTally tally;
+    expect_matches_reference(g, 19000, tally);
+    EXPECT_GT(tally.ran_slice_passes, 0) << "seed " << seed;
   }
 }
 
@@ -256,8 +275,6 @@ TEST(TemporalReach, ProbeExhaustsSmallClosure) {
   TemporalReachScratch reach;
   reach.init(g.num_vertices());
   EXPECT_FALSE(reach.compute(g, g.edge(0), 1000));
-  EXPECT_EQ(reach.last_probe(),
-            TemporalReachScratch::ProbeOutcome::kExhausted);
   EXPECT_EQ(reach.take_edges_scanned(), 1u);  // no slice pass ran
 }
 
@@ -268,8 +285,8 @@ TEST(TemporalReach, ProbeStopsAtTheTail) {
   TemporalReachScratch reach;
   reach.init(g.num_vertices());
   EXPECT_TRUE(reach.compute(g, g.edge(0), 1000));
-  EXPECT_EQ(reach.last_probe(), TemporalReachScratch::ProbeOutcome::kTailHit);
   EXPECT_TRUE(reach.contains(1));
+  // One probe edge, below the budget of 2, then both slice passes.
   const std::uint64_t slice = g.num_edges() - 1;
   EXPECT_EQ(reach.take_edges_scanned(), 1 + 2 * slice);
 }
@@ -284,8 +301,7 @@ TEST(TemporalReach, ProbeBudgetRunsOutIntoSlicePasses) {
   TemporalReachScratch reach;
   reach.init(g.num_vertices());
   EXPECT_FALSE(reach.compute(g, g.edge(0), 1000));  // the passes decide
-  EXPECT_EQ(reach.last_probe(),
-            TemporalReachScratch::ProbeOutcome::kBudgetOut);
+  // The whole budget, then the forward pass, which misses the tail.
   const std::uint64_t slice = g.num_edges() - 1;
   EXPECT_EQ(reach.take_edges_scanned(), (slice >> 7) + slice);
 }
@@ -307,8 +323,10 @@ TEST(TemporalReach, ProbeRescansAVertexWhoseArrivalImproves) {
   TemporalReachScratch reach;
   reach.init(g.num_vertices());
   EXPECT_TRUE(reach.compute(g, g.edge(0), 2000));
-  EXPECT_EQ(reach.last_probe(), TemporalReachScratch::ProbeOutcome::kTailHit);
   EXPECT_TRUE(reach.contains(2));
+  // Five probe edges reach the tail, short of the budget of 7.
+  const std::uint64_t slice = g.num_edges() - 1;
+  EXPECT_EQ(reach.take_edges_scanned(), 5 + 2 * slice);
 }
 
 }  // namespace
