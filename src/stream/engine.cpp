@@ -243,36 +243,6 @@ void StreamEngine::flush() {
   process_batch();
 }
 
-namespace {
-
-struct EdgeSearchTask {
-  StreamEngine* engine;
-  TemporalEdge edge;
-  void operator()();
-};
-
-}  // namespace
-
-// Grants the file-local task access to the private batch internals without
-// widening the public surface.
-struct StreamEngineBatchAccess {
-  static void search(StreamEngine& engine, const TemporalEdge& edge) {
-    engine.search_edge(edge);
-  }
-};
-
-namespace {
-
-void EdgeSearchTask::operator()() {
-  StreamEngineBatchAccess::search(*engine, edge);
-}
-
-// Per-edge batch tasks must ride the zero-allocation slab spawn path.
-static_assert(spawn_uses_slab_v<EdgeSearchTask>,
-              "EdgeSearchTask outgrew the scheduler's task-slab block");
-
-}  // namespace
-
 void StreamEngine::process_batch() {
   if (pending_.empty()) {
     // An empty flush is still a batch boundary for the ladder. A shedding
@@ -302,22 +272,20 @@ void StreamEngine::process_batch() {
     e.id = graph_.ingest(e.src, e.dst, e.ts);
   }
   const std::uint64_t t_ingested = tr ? trace_now_ns() : 0;
-  {
-    TaskGroup group(sched_);
-    try {
-      for (const TemporalEdge& e : pending_) {
-        group.spawn(EdgeSearchTask{this, e});
-      }
-      group.wait();
-    } catch (...) {
-      // A search task (or the spawn itself, e.g. injected slab alloc
-      // failure) threw. The edges are already ingested, so the window stays
-      // correct; only this batch's searches are (partially) lost. Count it
-      // and keep the engine live — group.wait() drained the remaining tasks
-      // before rethrowing, and the TaskGroup destructor drains any the
-      // spawn loop left behind.
-      search_errors_ += 1;
-    }
+  try {
+    // Lazy binary splitting: a typical per-edge search is far cheaper than
+    // a steal, so idle workers take whole halves of the batch instead of
+    // one task per edge.
+    parallel_for_lazy(sched_, 0, pending_.size(),
+                      [this](std::size_t i) { search_edge(pending_[i]); });
+  } catch (...) {
+    // A search or a split (e.g. an injected slab alloc failure) threw. That
+    // loses the rest of the range it was running — the searches it had not
+    // yet run or handed off — and nothing else: halves already handed off
+    // still run, and the group drains them before the exception gets here.
+    // The edges are already ingested, so the window stays correct. Count it
+    // and keep the engine live.
+    search_errors_ += 1;
   }
   pending_.clear();
   batches_ += 1;

@@ -24,12 +24,16 @@
 //  2. ingests the whole batch into the SlidingWindowGraph (edges of one batch
 //     are mutually invisible to each other's searches anyway: a closing edge
 //     only reads strictly earlier timestamps);
-//  3. fans one task per edge out over the scheduler (slab spawn path); each
-//     task enumerates the cycles its edge closes — once per configured
-//     window length. Hot edges — those whose search frontier in the live
-//     window reaches StreamOptions::hot_frontier_threshold — escalate to the
-//     fine-grained variant, which recursively spawns branch tasks so a single
-//     burst vertex cannot serialise the batch.
+//  3. searches the batch's edges with parallel_for_lazy (lazy binary
+//     splitting, support/scheduler.hpp): the batching thread runs edges in
+//     order and hands the upper half of what is left to an idle worker as
+//     one slab task, so a batch nobody steals from costs O(log n) spawns,
+//     not one per edge. Each search enumerates the cycles its edge closes —
+//     once per configured window length. Hot edges — those whose search
+//     frontier in the live window reaches
+//     StreamOptions::hot_frontier_threshold — escalate to the fine-grained
+//     variant, which recursively spawns branch tasks so a single burst
+//     vertex cannot serialise the batch.
 //
 // Multi-δ windows: StreamOptions::windows configures several concurrent
 // window lengths ("lanes") served by ONE ingest path. All lanes share the
@@ -343,12 +347,10 @@ class StreamEngine {
   void restore_snapshot_file(const std::string& path);
 
  private:
-  friend struct StreamEngineBatchAccess;
-
   // Per-lane mutable state of one worker: counters and the latency
   // histogram. The search scratches live in a pool instead — a worker
-  // blocked in a search's TaskGroup::wait can execute another edge task, so
-  // worker-keyed scratch would be re-entered.
+  // blocked in a search's TaskGroup::wait can run another range of the
+  // batch's searches, so worker-keyed scratch would be re-entered.
   struct LaneCounters {
     WorkCounters work;
     std::uint64_t cycles = 0;

@@ -423,4 +423,56 @@ void parallel_for_chunked(Scheduler& sched, std::size_t begin, std::size_t end,
   group.wait();
 }
 
+namespace detail {
+
+// One lazily split range: runs [lo, hi) in order, and before each index hands
+// the upper half of what is left to the scheduler whenever the calling
+// worker's deque is empty (nobody has anything to steal from it).
+template <typename Fn>
+void lazy_split_range(Scheduler& sched, TaskGroup& group, std::size_t lo,
+                      std::size_t hi, Fn& fn) {
+  while (lo < hi) {
+    if (hi - lo > 1 && sched.local_queue_size() == 0) {
+      const std::size_t mid = hi - (hi - lo) / 2;
+      auto upper = [&sched, &group, &fn, mid, hi] {
+        lazy_split_range(sched, group, mid, hi, fn);
+      };
+      static_assert(spawn_uses_slab_v<decltype(upper)>,
+                    "lazy range task outgrew the scheduler's task-slab block");
+      group.spawn(std::move(upper));
+      hi = mid;
+    }
+    fn(lo);
+    ++lo;
+  }
+}
+
+}  // namespace detail
+
+// Lazy binary splitting (Tzannes et al., PPoPP 2010) over [begin, end). The
+// caller runs indices in order; before each one, if its own deque is empty
+// and more than one index is left, it spawns the upper half of the rest as
+// one task and keeps the lower half. A stolen half splits the same way, so
+// idle thieves take large contiguous ranges, and a range nobody steals costs
+// at most ceil(log2 n) spawns. There is no grain to tune.
+//
+// Use it for many cheap, uneven bodies (tens of nanoseconds to
+// microseconds each, like the stream engine's per-edge searches), where a
+// task per index costs more than the index itself. Use
+// parallel_for_each_index when every index is a sizeable independent search
+// that should be stealable on its own (the coarse-grained drivers), and
+// parallel_for_chunked when the caller wants a fixed block count.
+//
+// An exception from fn or from a spawn ends the range that raised it: the
+// indices that range had not yet run or handed off are skipped, ranges
+// already handed off still run. The caller then gets one exception: its own
+// range's if that one threw, otherwise the first a task raised.
+template <typename Fn>
+void parallel_for_lazy(Scheduler& sched, std::size_t begin, std::size_t end,
+                       Fn&& fn) {
+  TaskGroup group(sched);
+  detail::lazy_split_range(sched, group, begin, end, fn);
+  group.wait();
+}
+
 }  // namespace parcycle

@@ -8,12 +8,15 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/cycle_types.hpp"
@@ -200,6 +203,66 @@ TEST(StreamFault, SlabAllocFailureIsContained) {
   EXPECT_EQ(stats.edges_ingested, reference.edges_ingested);
   EXPECT_LE(stats.cycles_found, reference.cycles_found);
   EXPECT_EQ(fault.injector.fired(FaultPoint::kSlabGrow), 1u);
+}
+
+// Until the slab fault has fired, holds worker 0 inside each cycle report
+// for as long as its deque still holds a queued range, so an idle worker is
+// sure to steal that range (and split it) instead of merely being likely to
+// wake in time. The deadline only bounds a broken run.
+class StealForcingSink final : public CycleSink {
+ public:
+  explicit StealForcingSink(const FaultInjector& injector)
+      : injector_(injector) {}
+
+  void on_cycle(std::span<const VertexId>, std::span<const EdgeId>) override {
+    if (Scheduler::current_worker_id() != 0) {
+      return;
+    }
+    const Scheduler& sched = *Scheduler::current();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (injector_.fired(FaultPoint::kSlabGrow) == 0 &&
+           sched.local_queue_size() > 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  }
+
+ private:
+  const FaultInjector& injector_;
+};
+
+TEST(StreamFault, SlabAllocFailureAtALaterSplitIsContained) {
+  const StreamOptions options = engine_options();
+  const StreamStats reference = run_clean_reference(options);
+  ASSERT_GT(reference.cycles_found, 0u);
+
+  ScopedInjector fault;
+  FaultRule rule;
+  rule.every = 1;
+  rule.after = 1;  // worker 0's first slab growth succeeds
+  rule.limit = 1;  // the next one, a stolen range splitting, fails
+  fault.arm(FaultPoint::kSlabGrow, rule);
+
+  const TemporalGraph graph = test_graph();
+  StreamStats stats;
+  StealForcingSink sink(fault.injector);
+  Scheduler::with_pool(2, [&](Scheduler& sched) {
+    StreamEngine engine(options, sched, &sink);
+    for (const auto& e : graph.edges_by_time()) {
+      engine.push(e.src, e.dst, e.ts);
+    }
+    engine.flush();
+    stats = engine.stats();
+  });
+  // Worker 1 stole a range and failed to split it: that range's remaining
+  // searches are lost, its batch counts one error, and every other range and
+  // batch ran normally.
+  EXPECT_EQ(fault.injector.fired(FaultPoint::kSlabGrow), 1u);
+  EXPECT_EQ(stats.search_errors, 1u);
+  EXPECT_EQ(stats.batches, reference.batches);
+  EXPECT_EQ(stats.edges_ingested, reference.edges_ingested);
+  EXPECT_LE(stats.cycles_found, reference.cycles_found);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "digest_sink.hpp"
 #include "graph/generators.hpp"
 #include "stream/engine.hpp"
 #include "stream/incremental.hpp"
@@ -64,6 +66,61 @@ TEST(StreamParallel, ThreadSweepIsDeterministic) {
       EXPECT_EQ(run.work.edges_visited, reference.work.edges_visited);
       EXPECT_EQ(run.work.vertices_visited, reference.work.vertices_visited);
       EXPECT_EQ(run.escalated_edges, reference.escalated_edges);
+    }
+  }
+}
+
+// The batch fan-out splits each batch lazily into ranges that idle workers
+// steal; hot edges nest their fine searches inside those ranges. Neither the
+// batch size, the worker count nor escalation may change which cycles are
+// found or how much search work that takes.
+TEST(StreamParallel, BatchFanOutSweepMatchesOneWorker) {
+  ScaleFreeTemporalParams params;
+  params.num_vertices = 150;
+  params.num_edges = 5000;
+  params.time_span = 20000;
+  params.attachment = 0.8;
+  params.burstiness = 0.6;
+  params.seed = 77;
+  const TemporalGraph graph = scale_free_temporal(params);
+  // Long enough that some edges cross the default escalation threshold.
+  constexpr Timestamp kSweepWindow = 3000;
+  const auto run = [&](unsigned threads, std::size_t batch_size,
+                       std::size_t hot_threshold, DigestSink& sink) {
+    return Scheduler::with_pool(threads, [&](Scheduler& sched) {
+      StreamOptions options;
+      options.window = kSweepWindow;
+      options.batch_size = batch_size;
+      options.hot_frontier_threshold = hot_threshold;
+      StreamEngine engine(options, sched, &sink);
+      for (const auto& e : graph.edges_by_time()) {
+        engine.push(e.src, e.dst, e.ts);
+      }
+      engine.flush();
+      return engine.stats();
+    });
+  };
+  const std::size_t default_hot = StreamOptions{}.hot_frontier_threshold;
+  DigestSink reference_sink;
+  const StreamStats reference = run(1, 1, default_hot, reference_sink);
+  ASSERT_GT(reference.cycles_found, 0u);
+  ASSERT_EQ(reference_sink.digest().cycles, reference.cycles_found);
+  for (const std::size_t batch_size : {1u, 7u, 256u, 4096u}) {
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      for (const std::size_t hot_threshold : {std::size_t{0}, default_hot}) {
+        const std::string where =
+            "batch " + std::to_string(batch_size) + ", " +
+            std::to_string(threads) + " threads, hot threshold " +
+            std::to_string(hot_threshold);
+        DigestSink sink;
+        const StreamStats stats = run(threads, batch_size, hot_threshold, sink);
+        EXPECT_EQ(stats.search_errors, 0u) << where;
+        EXPECT_EQ(stats.cycles_found, reference.cycles_found) << where;
+        EXPECT_EQ(stats.work.edges_visited, reference.work.edges_visited)
+            << where;
+        EXPECT_TRUE(sink.digest() == reference_sink.digest()) << where;
+        EXPECT_GT(stats.escalated_edges, 0u) << where;
+      }
     }
   }
 }

@@ -105,6 +105,78 @@ TEST(Scheduler, ParallelForChunkedEmptyRange) {
   EXPECT_EQ(calls, 0);
 }
 
+TEST(Scheduler, ParallelForLazyRunsEveryIndexOnce) {
+  for (const unsigned workers : {1u, 2u, 3u, 4u}) {
+    Scheduler sched(workers);
+    for (const std::size_t n : {0u, 1u, 2u, 1000u, 4096u}) {
+      // An offset begin, so a mix-up between index and position shows.
+      constexpr std::size_t kBegin = 3;
+      std::vector<std::atomic<int>> hits(kBegin + n);
+      parallel_for_lazy(sched, kBegin, kBegin + n,
+                        [&](std::size_t i) { hits[i].fetch_add(1); });
+      for (std::size_t i = 0; i < hits.size(); ++i) {
+        ASSERT_EQ(hits[i].load(), i < kBegin ? 0 : 1)
+            << workers << " workers, n " << n << ", index " << i;
+      }
+    }
+  }
+}
+
+TEST(Scheduler, ParallelForLazyNestsInsideTasks) {
+  Scheduler sched(4);
+  constexpr std::size_t kOuter = 64;
+  constexpr std::size_t kInner = 257;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  parallel_for_lazy(sched, 0, kOuter, [&](std::size_t i) {
+    parallel_for_lazy(sched, 0, kInner, [&](std::size_t j) {
+      hits[i * kInner + j].fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  for (std::size_t k = 0; k < hits.size(); ++k) {
+    ASSERT_EQ(hits[k].load(), 1) << "cell " << k;
+  }
+}
+
+TEST(Scheduler, ParallelForLazyRethrowsTaskException) {
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    Scheduler sched(workers);
+    constexpr std::size_t kN = 1000;
+    std::vector<std::atomic<int>> hits(kN);
+    // The caller keeps the lower half at its first split, so the last index
+    // always runs inside a spawned range task, and it is the last index of
+    // that range: nothing else is skipped when it throws.
+    EXPECT_THROW(parallel_for_lazy(sched, 0, kN,
+                                   [&](std::size_t i) {
+                                     if (i == kN - 1) {
+                                       throw std::runtime_error("index failed");
+                                     }
+                                     hits[i].fetch_add(1);
+                                   }),
+                 std::runtime_error)
+        << workers << " workers";
+    for (std::size_t i = 0; i + 1 < kN; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << workers << " workers, index " << i;
+    }
+  }
+}
+
+TEST(Scheduler, ParallelForLazyUnstolenRangeSpawnsLogarithmically) {
+  Scheduler sched(1);
+  for (const std::size_t n : {1u, 2u, 3u, 5u, 1000u, 4096u, 4097u}) {
+    sched.reset_stats();
+    std::size_t calls = 0;
+    parallel_for_lazy(sched, 0, n, [&](std::size_t) { calls += 1; });
+    EXPECT_EQ(calls, n);
+    std::uint64_t log2_ceil = 0;
+    while ((std::size_t{1} << log2_ceil) < n) {
+      log2_ceil += 1;
+    }
+    const auto stats = sched.worker_stats();
+    EXPECT_LE(stats[0].tasks_spawned, log2_ceil) << "n " << n;
+    EXPECT_EQ(stats[0].tasks_heap_allocated, 0u) << "n " << n;
+  }
+}
+
 TEST(Scheduler, ExceptionPropagatesToWait) {
   Scheduler sched(2);
   TaskGroup group(sched);

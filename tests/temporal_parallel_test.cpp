@@ -2,13 +2,12 @@
 // algorithms, across thread counts, spawn policies and restore modes.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "digest_sink.hpp"
 #include "graph/generators.hpp"
 #include "support/prng.hpp"
 #include "temporal/brute.hpp"
@@ -191,39 +190,6 @@ TEST(TemporalParallel, PruneEdgesScannedAgreeAcrossDrivers) {
     }
   }
 }
-
-// Cycle count plus a sum of per-cycle hashes of the edge ids. Both sums are
-// commutative, so the digest depends neither on the order cycles arrive in
-// nor on the rotation a cycle is reported in; unlike collecting and sorting
-// every cycle it allocates nothing per cycle.
-class DigestSink final : public CycleSink {
- public:
-  struct Digest {
-    std::uint64_t cycles = 0;
-    std::uint64_t checksum = 0;
-    bool operator==(const Digest&) const = default;
-  };
-
-  void on_cycle(std::span<const VertexId>,
-                std::span<const EdgeId> edges) override {
-    std::uint64_t hash = edges.size();
-    for (const EdgeId e : edges) {
-      hash += SplitMix64(e).next();
-    }
-    cycles_.fetch_add(1, std::memory_order_relaxed);
-    checksum_.fetch_add(SplitMix64(hash).next(), std::memory_order_relaxed);
-  }
-
-  // Call once the enumeration has returned.
-  Digest digest() const {
-    return {cycles_.load(std::memory_order_relaxed),
-            checksum_.load(std::memory_order_relaxed)};
-  }
-
- private:
-  std::atomic<std::uint64_t> cycles_{0};
-  std::atomic<std::uint64_t> checksum_{0};
-};
 
 // Dense graph, long window, no cycle-union prune: the closing-time protocol
 // alone decides what the search skips. On this family the fine driver once
